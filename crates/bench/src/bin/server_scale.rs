@@ -16,9 +16,11 @@
 //! load stays within what loopback sockets sustain — the point of the
 //! sweep is multiplexing scale, not socket saturation. Each point
 //! reports `offered_vs_delivered` (delivered ÷ offered over the
-//! window; 1.0 = the server kept up) and the syscall-amortization
+//! window; 1.0 = the server kept up), the syscall-amortization
 //! counters (`wakeups`, `syscalls_recv`, `syscalls_send`,
-//! `datagrams_per_syscall`).
+//! `datagrams_per_syscall`) and `bytes_per_session` (live heap bytes
+//! the registrations added, divided by the session count; a counting
+//! global allocator tracks them).
 //!
 //! Human-readable table on stdout; `BENCH_server_scale.json` with the
 //! full point series (the binary enables emission itself, like every
@@ -43,6 +45,8 @@
 //! (backend, sessions) point, so throughput headroom is measured
 //! rather than inferred from the fixed base load.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,6 +55,32 @@ use mcss::remicss::config::ProtocolConfig;
 use mcss::remicss::engine::Workload;
 use mcss::server::{IoBackend, IoMode, RunPhases, ServerConfig, UdpServer};
 use serde::Serialize;
+
+/// Counts live heap bytes so each point can report what registering
+/// its sessions cost (`bytes_per_session`).
+struct CountingAllocator;
+
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Aggregate offered symbol rate across all sessions, symbols/sec.
 /// Split evenly per session (floored at 2/s so small fleets still show
@@ -79,6 +109,8 @@ struct ScalePoint {
     io_backend: &'static str,
     offered_per_session: f64,
     offered_aggregate: f64,
+    /// Live heap bytes the session registrations added, per session.
+    bytes_per_session: f64,
     /// Whole-run wall clock (warmup + window + drain).
     wall_millis: f64,
     /// Measured window wall clock (counter-delta basis).
@@ -169,6 +201,7 @@ fn run_point(
     let offered_per_session = (aggregate_offered / sessions as f64).max(2.0);
     let offered_aggregate = offered_per_session * sessions as f64;
     let period = 1.0 / offered_per_session;
+    let heap_before = LIVE_BYTES.load(Ordering::Relaxed);
     for cid in 0..sessions as u32 {
         // Stagger each source's phase across one period: phase-locked
         // fleets tick at the same absolute instants and the resulting
@@ -181,6 +214,8 @@ fn run_point(
             .add_session(cid, workload, 1 + u64::from(cid))
             .expect("session registers");
     }
+    let bytes_per_session =
+        (LIVE_BYTES.load(Ordering::Relaxed) - heap_before) as f64 / sessions as f64;
     let phased = server
         .run_phases(RunPhases {
             warmup: WARMUP,
@@ -196,6 +231,7 @@ fn run_point(
         io_backend: backend.name(),
         offered_per_session,
         offered_aggregate,
+        bytes_per_session,
         wall_millis: phased.run.elapsed.as_secs_f64() * 1e3,
         window_millis: window.window.as_secs_f64() * 1e3,
         sent_symbols: phased.run.sent_symbols,
@@ -346,7 +382,7 @@ fn main() {
             println!(
                 "{:>8} {:>7} sessions: {:>8.0} sym/s delivered ({:>5.1}% of offered)  \
                  {:>8} datagrams  {:>5.1} dg/syscall  {:>6} wakeups  {:>7} handoffs  \
-                 {:>5} send drops",
+                 {:>5} send drops  {:>6.0} B/session",
                 p.io_backend,
                 p.sessions,
                 p.delivered_per_sec,
@@ -355,7 +391,8 @@ fn main() {
                 p.datagrams_per_syscall,
                 p.wakeups,
                 p.handoffs,
-                p.send_drops
+                p.send_drops,
+                p.bytes_per_session
             );
             if knee_enabled() {
                 let k = knee_sweep(&p, shards, backend);

@@ -110,6 +110,27 @@ mod enabled {
             self.max.fetch_max(v, Ordering::Relaxed);
         }
 
+        /// Adds every sample `other` recorded into this histogram, so
+        /// it then summarizes both sample sets (for exporting several
+        /// histograms of the same quantity as one series).
+        pub fn merge_from(&self, other: &Histogram) {
+            if other.is_empty() {
+                return;
+            }
+            for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
+                let c = theirs.load(Ordering::Relaxed);
+                if c != 0 {
+                    mine.fetch_add(c, Ordering::Relaxed);
+                }
+            }
+            self.count.fetch_add(other.count(), Ordering::Relaxed);
+            self.sum
+                .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.min
+                .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.max.fetch_max(other.max(), Ordering::Relaxed);
+        }
+
         /// Number of samples recorded.
         #[inline]
         #[must_use]
@@ -209,6 +230,9 @@ mod disabled {
         #[inline]
         pub fn record(&self, _v: u64) {}
 
+        /// No-op.
+        pub fn merge_from(&self, _other: &Histogram) {}
+
         /// Always zero.
         #[must_use]
         pub fn count(&self) -> u64 {
@@ -283,6 +307,27 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn merge_equals_recording_into_one() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [3u64, 70, 900, 12_345] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [1u64, 5_000, 1 << 40] {
+            b.record(v);
+            both.record(v);
+        }
+        a.merge_from(&b);
+        a.merge_from(&Histogram::new());
+        assert_eq!(a.count(), both.count());
+        assert_eq!((a.min(), a.max()), (both.min(), both.max()));
+        assert_eq!(a.mean(), both.mean());
+        for q in [0.1, 0.5, 0.9, 0.99] {
+            assert_eq!(a.percentile(q), both.percentile(q));
+        }
     }
 
     #[test]

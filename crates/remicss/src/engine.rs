@@ -37,7 +37,7 @@ use crate::actions::{Action, Event, TIMER_FEEDBACK, TIMER_SOURCE, TIMER_SWEEP};
 use crate::adaptive::AdaptiveController;
 use crate::config::{ProtocolConfig, SchedulerKind};
 use crate::cpu::CpuClock;
-use crate::metrics::SessionMetrics;
+use crate::metrics::{SessionMetrics, ShareHistograms};
 use crate::reassembly::{AcceptOutcome, ReassemblyStats, ReassemblyTable};
 use crate::scheduler::{
     ChannelState, Choice, DynamicScheduler, RoundRobinScheduler, Scheduler as _, SessionScheduler,
@@ -296,7 +296,9 @@ impl core::fmt::Debug for Engine {
 }
 
 impl Engine {
-    /// Builds an engine for `n` channels.
+    /// Builds an engine for `n` channels that records its share
+    /// distributions into a private [`ShareHistograms`] set (see
+    /// [`new_in`](Engine::new_in)).
     ///
     /// # Errors
     ///
@@ -307,6 +309,33 @@ impl Engine {
         n: usize,
         source: SourceMode,
     ) -> Result<Self, mcss_core::ModelError> {
+        Engine::new_in(config, n, source, Arc::new(ShareHistograms::new(n)))
+    }
+
+    /// Builds an engine for `n` channels that records its one-way
+    /// delay, inter-share gap and residency distributions into
+    /// `histograms`, shared with every other engine its owner passes
+    /// the same set. Per-session counters stay in the engine.
+    ///
+    /// # Errors
+    ///
+    /// [`mcss_core::ModelError::InvalidParameters`] if the config's
+    /// `(κ, μ)` are invalid for `n` channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `histograms` covers a channel count other than `n`.
+    pub fn new_in(
+        config: impl Into<Arc<ProtocolConfig>>,
+        n: usize,
+        source: SourceMode,
+        histograms: Arc<ShareHistograms>,
+    ) -> Result<Self, mcss_core::ModelError> {
+        assert_eq!(
+            histograms.channel_count(),
+            n,
+            "share histograms built for a different channel count"
+        );
         let config: Arc<ProtocolConfig> = config.into();
         let scheduler_a = build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?;
         let scheduler_b = build_scheduler(config.scheduler(), config.kappa(), config.mu(), n)?;
@@ -366,7 +395,7 @@ impl Engine {
             wire_errors: 0,
             cpu_a: CpuClock::new(),
             cpu_b: CpuClock::new(),
-            metrics: SessionMetrics::new(n),
+            metrics: SessionMetrics::with_histograms(histograms),
             adaptive,
             feedback_epoch: 0,
             last_epoch_seen: None,
@@ -480,8 +509,9 @@ impl Engine {
         self.adaptive.as_ref()
     }
 
-    /// The engine's protocol metrics (per-channel share traffic, delay
-    /// and gap histograms, realized `(k, m)` frequencies).
+    /// The engine's protocol metrics (per-channel share traffic,
+    /// realized `(k, m)` frequencies, and the delay and gap histogram
+    /// set it records into).
     #[must_use]
     pub fn metrics(&self) -> &SessionMetrics {
         &self.metrics
@@ -670,10 +700,15 @@ impl Engine {
                 at: first,
             });
         }
-        let sweep = self.sweep_period();
+        // The first sweep follows the source's phase, so a fleet of
+        // staggered sources does not sweep in lockstep.
+        let phase = match self.source {
+            SourceMode::Paced(workload) => workload.phase(),
+            SourceMode::External => SimTime::ZERO,
+        };
         self.actions.push_back(Action::SetTimer {
             token: TIMER_SWEEP,
-            at: sweep,
+            at: phase + self.sweep_period(),
         });
         if self.adaptive.is_some() {
             self.actions.push_back(Action::SetTimer {

@@ -9,6 +9,20 @@
 //! drew (whose empirical means must converge to the configured `κ` and
 //! `μ`; see `tests/metrics_stat.rs`).
 //!
+//! The metrics come in two parts with different owners:
+//!
+//! * **Counters** ([`SessionMetrics`] itself) — per-channel share
+//!   counts, the `(k, m)` matrix, the last delivery time per channel.
+//!   A few hundred bytes, always owned by the session.
+//! * **Distributions** ([`ShareHistograms`]) — per-channel one-way
+//!   delay and inter-share gap, plus reassembly residency. Each
+//!   histogram is ~15 KB of preallocated buckets, so a set over five
+//!   channels is ~170 KB. A session records into its set through an
+//!   [`Arc`]: a lone session owns a private set, while a server shard
+//!   hands one set to every session it owns, keeping per-session
+//!   memory at the counters and the recording work on a few cache-hot
+//!   sets.
+//!
 //! Everything here is built from [`mcss_obs`] primitives, so the whole
 //! structure inherits the crate's overhead contract: recording is
 //! relaxed atomics on storage preallocated at session build (the
@@ -16,12 +30,14 @@
 //! and with the `telemetry` feature off every field is a zero-sized
 //! no-op.
 
+use std::sync::Arc;
+
 use mcss_obs::{Counter, Histogram, MetricsSnapshot};
 
 /// Sentinel for "no share received on this channel yet".
 const NO_RX: u64 = u64::MAX;
 
-/// One channel's share traffic counters and latency histograms.
+/// One channel's share traffic counters.
 #[derive(Debug, Default)]
 pub struct ChannelMetrics {
     /// Share frames handed to this channel's send queue.
@@ -30,15 +46,113 @@ pub struct ChannelMetrics {
     pub shares_dropped: Counter,
     /// Share frames delivered from this channel.
     pub shares_received: Counter,
+}
+
+/// One channel's share latency histograms.
+#[derive(Debug, Default)]
+pub struct ChannelHistograms {
     /// One-way share delay (send stamp to delivery), nanoseconds of
     /// simulated time.
     pub one_way_delay: Histogram,
-    /// Gap between consecutive share deliveries on this channel,
-    /// nanoseconds of simulated time.
+    /// Gap between consecutive share deliveries on one session's
+    /// channel, nanoseconds of simulated time.
     pub inter_share_gap: Histogram,
 }
 
-/// Protocol counters for one [`Session`](crate::Session).
+/// The share latency distributions of every session recording into
+/// this set, all over the same channel count.
+///
+/// Shared through an [`Arc`] by whoever owns the sessions: each server
+/// shard keeps one set per distinct channel count, a lone session keeps
+/// its own (see the [module docs](self)).
+#[derive(Debug)]
+pub struct ShareHistograms {
+    channels: Box<[ChannelHistograms]>,
+    /// Reassembly residency of completed symbols (first share seen to
+    /// reconstruction), nanoseconds of simulated time.
+    pub residency: Histogram,
+}
+
+impl ShareHistograms {
+    /// An empty set over `n` channels. Allocates all bucket storage up
+    /// front; recording never allocates.
+    #[must_use]
+    pub fn new(n: usize) -> Self {
+        ShareHistograms {
+            channels: (0..n).map(|_| ChannelHistograms::default()).collect(),
+            residency: Histogram::new(),
+        }
+    }
+
+    /// The channel count this was built for.
+    #[must_use]
+    pub fn channel_count(&self) -> usize {
+        self.channels.len()
+    }
+
+    /// One channel's histograms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel >= channel_count()`.
+    #[must_use]
+    pub fn channel(&self, channel: usize) -> &ChannelHistograms {
+        &self.channels[channel]
+    }
+
+    /// All channels' histograms, in channel order.
+    #[must_use]
+    pub fn channels(&self) -> &[ChannelHistograms] {
+        &self.channels
+    }
+
+    /// Adds every sample of `other` into this set, channel by channel
+    /// (`other` may cover fewer channels).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` covers more channels than this set.
+    pub fn merge_from(&self, other: &ShareHistograms) {
+        for (mine, theirs) in self.channels[..other.channel_count()]
+            .iter()
+            .zip(other.channels.iter())
+        {
+            mine.one_way_delay.merge_from(&theirs.one_way_delay);
+            mine.inter_share_gap.merge_from(&theirs.inter_share_gap);
+        }
+        self.residency.merge_from(&other.residency);
+    }
+
+    /// Appends the non-empty histograms onto `snapshot` as
+    /// `{prefix}.delay.ch{c}`, `{prefix}.inter_share_gap.ch{c}` and
+    /// `{prefix}.reassembly.residency`. Appends nothing with the
+    /// `telemetry` feature off.
+    pub fn extend_snapshot(&self, prefix: &str, snapshot: &mut MetricsSnapshot) {
+        use mcss_obs::HistogramSnapshot;
+        for (i, ch) in self.channels.iter().enumerate() {
+            for (what, hist) in [
+                ("delay", &ch.one_way_delay),
+                ("inter_share_gap", &ch.inter_share_gap),
+            ] {
+                if !hist.is_empty() {
+                    snapshot.histograms.push(HistogramSnapshot::of(
+                        &format!("{prefix}.{what}.ch{i}"),
+                        hist,
+                    ));
+                }
+            }
+        }
+        if !self.residency.is_empty() {
+            snapshot.histograms.push(HistogramSnapshot::of(
+                &format!("{prefix}.reassembly.residency"),
+                &self.residency,
+            ));
+        }
+    }
+}
+
+/// Protocol counters for one [`Session`](crate::Session), plus the
+/// handle of the [`ShareHistograms`] it records distributions into.
 ///
 /// The session records into this on its hot paths; benchmarks and
 /// binaries read it back through accessors or [`snapshot`]
@@ -58,16 +172,24 @@ pub struct SessionMetrics {
     sum_m: Counter,
     /// Number of scheduler draws recorded.
     choices: Counter,
-    /// Reassembly residency of completed symbols (first share seen to
-    /// reconstruction), nanoseconds of simulated time.
-    pub residency: Histogram,
+    histograms: Arc<ShareHistograms>,
 }
 
 impl SessionMetrics {
-    /// Metrics for a session over `n` channels. Allocates all storage up
-    /// front; recording never allocates.
+    /// Metrics for a session over `n` channels, with a private
+    /// [`ShareHistograms`] set. Allocates all storage up front;
+    /// recording never allocates.
     #[must_use]
     pub fn new(n: usize) -> Self {
+        SessionMetrics::with_histograms(Arc::new(ShareHistograms::new(n)))
+    }
+
+    /// Metrics for a session over `histograms.channel_count()`
+    /// channels whose distributions go into `histograms`, shared with
+    /// whatever else records there.
+    #[must_use]
+    pub fn with_histograms(histograms: Arc<ShareHistograms>) -> Self {
+        let n = histograms.channel_count();
         SessionMetrics {
             n,
             channels: (0..n).map(|_| ChannelMetrics::default()).collect(),
@@ -76,7 +198,7 @@ impl SessionMetrics {
             sum_k: Counter::new(),
             sum_m: Counter::new(),
             choices: Counter::new(),
-            residency: Histogram::new(),
+            histograms,
         }
     }
 
@@ -100,6 +222,13 @@ impl SessionMetrics {
     #[must_use]
     pub fn channels(&self) -> &[ChannelMetrics] {
         &self.channels
+    }
+
+    /// The distribution set this session records into: its own, or
+    /// its owner's when shared.
+    #[must_use]
+    pub fn histograms(&self) -> &Arc<ShareHistograms> {
+        &self.histograms
     }
 
     /// Records one scheduler draw of threshold `k` over `m` channels.
@@ -126,19 +255,19 @@ impl SessionMetrics {
     /// Records a share delivered from `channel` at simulated time
     /// `now_nanos`, `delay_nanos` after it was stamped at the sender.
     pub fn record_receive(&mut self, channel: usize, now_nanos: u64, delay_nanos: u64) {
-        let ch = &self.channels[channel];
-        ch.shares_received.inc();
-        ch.one_way_delay.record(delay_nanos);
+        self.channels[channel].shares_received.inc();
+        let hist = &self.histograms.channels[channel];
+        hist.one_way_delay.record(delay_nanos);
         let last = self.last_rx_nanos[channel];
         if last != NO_RX {
-            ch.inter_share_gap.record(now_nanos.saturating_sub(last));
+            hist.inter_share_gap.record(now_nanos.saturating_sub(last));
         }
         self.last_rx_nanos[channel] = now_nanos;
     }
 
     /// Records a completed symbol's reassembly residency.
     pub fn record_residency(&mut self, nanos: u64) {
-        self.residency.record(nanos);
+        self.histograms.residency.record(nanos);
     }
 
     /// Number of scheduler draws recorded.
@@ -200,8 +329,10 @@ impl SessionMetrics {
     }
 
     /// Serializable snapshot under `remicss.*` names (e.g.
-    /// `remicss.shares_sent.ch0`, `remicss.delay.ch2`). Empty with the
-    /// `telemetry` feature off — the metrics are absent, not zero.
+    /// `remicss.shares_sent.ch0`, `remicss.delay.ch2`). The
+    /// distributions are those of the session's [`ShareHistograms`]
+    /// set. Empty with the `telemetry` feature off — the metrics are
+    /// absent, not zero.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         #[cfg(not(feature = "telemetry"))]
@@ -210,7 +341,7 @@ impl SessionMetrics {
         }
         #[cfg(feature = "telemetry")]
         {
-            use mcss_obs::{CounterSnapshot, HistogramSnapshot};
+            use mcss_obs::CounterSnapshot;
             let mut snap = MetricsSnapshot::default();
             for (i, ch) in self.channels.iter().enumerate() {
                 for (what, counter) in [
@@ -223,29 +354,12 @@ impl SessionMetrics {
                         value: counter.get(),
                     });
                 }
-                if !ch.one_way_delay.is_empty() {
-                    snap.histograms.push(HistogramSnapshot::of(
-                        &format!("remicss.delay.ch{i}"),
-                        &ch.one_way_delay,
-                    ));
-                }
-                if !ch.inter_share_gap.is_empty() {
-                    snap.histograms.push(HistogramSnapshot::of(
-                        &format!("remicss.inter_share_gap.ch{i}"),
-                        &ch.inter_share_gap,
-                    ));
-                }
             }
             snap.counters.push(CounterSnapshot {
                 name: "remicss.scheduler.choices".to_string(),
                 value: self.choices.get(),
             });
-            if !self.residency.is_empty() {
-                snap.histograms.push(HistogramSnapshot::of(
-                    "remicss.reassembly.residency",
-                    &self.residency,
-                ));
-            }
+            self.histograms.extend_snapshot("remicss", &mut snap);
             snap
         }
     }
@@ -295,10 +409,51 @@ mod tests {
     fn inter_share_gap_needs_two_deliveries() {
         let mut m = SessionMetrics::new(1);
         m.record_receive(0, 1_000, 100);
-        assert!(m.channel(0).inter_share_gap.is_empty());
+        let gap = &m.histograms().channel(0).inter_share_gap;
+        assert!(gap.is_empty());
         m.record_receive(0, 1_750, 100);
-        assert_eq!(m.channel(0).inter_share_gap.count(), 1);
-        assert_eq!(m.channel(0).inter_share_gap.max(), 750);
+        let gap = &m.histograms().channel(0).inter_share_gap;
+        assert_eq!(gap.count(), 1);
+        assert_eq!(gap.max(), 750);
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn shared_set_collects_every_session() {
+        let shared = Arc::new(ShareHistograms::new(2));
+        let mut a = SessionMetrics::with_histograms(Arc::clone(&shared));
+        let mut b = SessionMetrics::with_histograms(Arc::clone(&shared));
+        a.record_receive(1, 1_000, 100);
+        b.record_receive(1, 1_500, 300);
+        b.record_residency(40);
+        // Counters stay per session; distributions land in one set.
+        assert_eq!(a.shares_received_total(), 1);
+        assert_eq!(b.shares_received_total(), 1);
+        assert_eq!(shared.channel(1).one_way_delay.count(), 2);
+        assert_eq!(shared.channel(1).one_way_delay.max(), 300);
+        // Gaps are per session: each saw one delivery on channel 1.
+        assert!(shared.channel(1).inter_share_gap.is_empty());
+        assert_eq!(shared.residency.count(), 1);
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn merge_covers_narrower_sets() {
+        let (wide, narrow) = (ShareHistograms::new(3), ShareHistograms::new(2));
+        wide.channel(2).one_way_delay.record(7);
+        narrow.channel(1).one_way_delay.record(9);
+        narrow.residency.record(11);
+        wide.merge_from(&narrow);
+        assert_eq!(wide.channel(1).one_way_delay.max(), 9);
+        assert_eq!(wide.channel(2).one_way_delay.count(), 1);
+        assert_eq!(wide.residency.count(), 1);
+        let mut snap = MetricsSnapshot::default();
+        wide.extend_snapshot("x", &mut snap);
+        let names: Vec<_> = snap.histograms.iter().map(|h| h.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["x.delay.ch1", "x.delay.ch2", "x.reassembly.residency"]
+        );
     }
 
     #[cfg(feature = "telemetry")]

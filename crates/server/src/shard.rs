@@ -28,6 +28,7 @@ use mcss_obs::{GaugeSnapshot, MetricsSnapshot};
 use mcss_remicss::actions::{Action, Event};
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::{Engine, SessionReport, SourceMode};
+use mcss_remicss::metrics::{SessionMetrics, ShareHistograms};
 use mcss_remicss::wire::{demux_frame, put_cid_prefix, DemuxFrame, WireError};
 use rand::rngs::StdRng;
 use rand::SeedableRng as _;
@@ -151,12 +152,17 @@ struct SessionSlot {
 }
 
 /// One worker partition: the sessions it owns, their shared buffer
-/// pool and timer wheel, and the queues linking it to its peers.
+/// pool, timer wheel and share histograms, and the queues linking it
+/// to its peers.
 #[derive(Debug)]
 pub struct Shard {
     index: usize,
     num_shards: usize,
     sessions: HashMap<u32, SessionSlot>,
+    /// One share-distribution set per distinct channel count, handed
+    /// to every engine registered here: sessions keep only their
+    /// counters, so per-session memory stays a few KB.
+    histograms: Vec<Arc<ShareHistograms>>,
     pool: BufferPool,
     timers: EventQueue<(u32, u64)>,
     timer_seq: u64,
@@ -189,6 +195,7 @@ impl Shard {
             index,
             num_shards: inboxes.len(),
             sessions: HashMap::new(),
+            histograms: Vec::new(),
             pool: BufferPool::new(),
             timers: EventQueue::new(QueueKind::Wheel),
             timer_seq: 0,
@@ -240,6 +247,44 @@ impl Shard {
     /// Connection IDs owned by this shard, unordered.
     pub fn cids(&self) -> impl Iterator<Item = u32> + '_ {
         self.sessions.keys().copied()
+    }
+
+    /// The share-distribution sets this shard's sessions record into,
+    /// one per distinct channel count, in registration order.
+    #[must_use]
+    pub fn share_histograms(&self) -> &[Arc<ShareHistograms>] {
+        &self.histograms
+    }
+
+    /// The set for `channels`-channel sessions, built on first use.
+    fn histograms_for(&mut self, channels: usize) -> Arc<ShareHistograms> {
+        if let Some(set) = self
+            .histograms
+            .iter()
+            .find(|set| set.channel_count() == channels)
+        {
+            return Arc::clone(set);
+        }
+        let set = Arc::new(ShareHistograms::new(channels));
+        self.histograms.push(Arc::clone(&set));
+        set
+    }
+
+    /// Appends this shard's share distributions onto `snapshot` under
+    /// `prefix` (sets of different channel counts merged per channel).
+    fn extend_histogram_snapshot(&self, prefix: &str, snapshot: &mut MetricsSnapshot) {
+        match self.histograms.as_slice() {
+            [] => {}
+            [set] => set.extend_snapshot(prefix, snapshot),
+            sets => {
+                let widest = sets.iter().map(|s| s.channel_count()).max();
+                let merged = ShareHistograms::new(widest.unwrap_or_default());
+                for set in sets {
+                    merged.merge_from(set);
+                }
+                merged.extend_snapshot(prefix, snapshot);
+            }
+        }
     }
 
     fn slot_mut(&mut self, cid: u32) -> &mut SessionSlot {
@@ -651,14 +696,23 @@ impl Shard {
         std::mem::take(&mut self.slot_mut(cid).action_log)
     }
 
-    /// The session's report over a measurement `window`.
-    #[must_use]
-    pub fn report(&self, cid: u32, window: SimTime) -> SessionReport {
+    fn slot(&self, cid: u32) -> &SessionSlot {
         self.sessions
             .get(&cid)
             .unwrap_or_else(|| panic!("no session with connection id {cid}"))
-            .engine
-            .report(window)
+    }
+
+    /// The session's report over a measurement `window`.
+    #[must_use]
+    pub fn report(&self, cid: u32, window: SimTime) -> SessionReport {
+        self.slot(cid).engine.report(window)
+    }
+
+    /// The session's protocol counters (its distributions are the
+    /// shard's, see [`share_histograms`](Shard::share_histograms)).
+    #[must_use]
+    pub fn session_metrics(&self, cid: u32) -> &SessionMetrics {
+        self.slot(cid).engine.metrics()
     }
 }
 
@@ -733,7 +787,8 @@ impl ShardSet {
         self.shards.iter().map(Shard::session_count).sum()
     }
 
-    /// Registers a session under `cid` on its owning shard.
+    /// Registers a session under `cid` on its owning shard, recording
+    /// into that shard's share histograms for `channels` channels.
     ///
     /// # Errors
     ///
@@ -747,9 +802,11 @@ impl ShardSet {
         source: SourceMode,
         seed: u64,
     ) -> Result<(), ServerError> {
-        let engine = Engine::new(config, channels, source)?;
         let owner = self.shard_of(cid);
-        self.shards[owner].add_session(cid, engine, seed)
+        let shard = &mut self.shards[owner];
+        let histograms = shard.histograms_for(channels);
+        let engine = Engine::new_in(config, channels, source, histograms)?;
+        shard.add_session(cid, engine, seed)
     }
 
     /// Routes bare pre-prefix (`"RM"`/`"RC"`) frames to the session
@@ -853,14 +910,20 @@ impl ShardSet {
     /// The snapshot endpoint: per-shard counters under
     /// `server.shard{i}.*`, totals under `server.total.*`, plus a
     /// session-count gauge — ready to merge with engine metrics or
-    /// export as Prometheus text.
+    /// export as Prometheus text. Each shard's share distributions
+    /// follow as `server.shard{i}.delay.ch{c}`,
+    /// `server.shard{i}.inter_share_gap.ch{c}` and
+    /// `server.shard{i}.reassembly.residency` (absent with the
+    /// `telemetry` feature off).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = MetricsSnapshot::default();
         let mut total = ShardStatsSnapshot::default();
         for (i, shard) in self.shards.iter().enumerate() {
             let stats = shard.stats.get();
-            stats.extend_snapshot(&format!("server.shard{i}"), &mut snapshot);
+            let prefix = format!("server.shard{i}");
+            stats.extend_snapshot(&prefix, &mut snapshot);
+            shard.extend_histogram_snapshot(&prefix, &mut snapshot);
             snapshot.gauges.push(GaugeSnapshot {
                 name: format!("server.shard{i}.sessions"),
                 value: shard.session_count() as i64,
@@ -902,6 +965,12 @@ impl ShardSet {
         let owner = self.shard_of(cid);
         self.shards[owner].report(cid, window)
     }
+
+    /// Session `cid`'s protocol counters.
+    #[must_use]
+    pub fn session_metrics(&self, cid: u32) -> &SessionMetrics {
+        self.shards[self.shard_of(cid)].session_metrics(cid)
+    }
 }
 
 /// Whole datagrams moved per I/O syscall, rounded down — the syscall
@@ -911,4 +980,50 @@ fn datagrams_per_syscall(stats: &ShardStatsSnapshot) -> i64 {
     let datagrams = stats.datagrams_received + stats.datagrams_sent;
     let syscalls = stats.syscalls_recv + stats.syscalls_send;
     datagrams.checked_div(syscalls).unwrap_or(0) as i64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_keeps_one_histogram_set_per_channel_count() {
+        let protocol = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap());
+        let mut set = ShardSet::new(&ServerConfig::with_shards(1));
+        for (cid, channels) in [(0, 5), (1, 3), (2, 5), (3, 3)] {
+            set.add_session(
+                cid,
+                Arc::clone(&protocol),
+                channels,
+                SourceMode::External,
+                1,
+            )
+            .unwrap();
+        }
+        let sets = set.shard(0).share_histograms();
+        assert_eq!(sets.len(), 2);
+        assert_eq!(
+            sets.iter().map(|s| s.channel_count()).collect::<Vec<_>>(),
+            [5, 3]
+        );
+        // Export merges the sets per channel into one series.
+        sets[0].channel(1).one_way_delay.record(10);
+        sets[1].channel(1).one_way_delay.record(20);
+        sets[0].channel(4).one_way_delay.record(30);
+        let snapshot = set.metrics_snapshot();
+        let count = |name: &str| {
+            snapshot
+                .histograms
+                .iter()
+                .find(|h| h.name == name)
+                .map(|h| h.count)
+        };
+        if cfg!(feature = "telemetry") {
+            assert_eq!(count("server.shard0.delay.ch1"), Some(2));
+            assert_eq!(count("server.shard0.delay.ch4"), Some(1));
+            assert_eq!(count("server.shard0.delay.ch0"), None);
+        } else {
+            assert!(snapshot.histograms.is_empty());
+        }
+    }
 }

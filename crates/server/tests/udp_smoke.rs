@@ -5,21 +5,25 @@
 //! that symbols move, that nothing on the wire misroutes (no
 //! unknown-cid or malformed drops on a clean loopback), and that the
 //! metrics snapshot exports the per-shard and total counter families —
-//! including the new wakeup/syscall amortization counters.
+//! including the new wakeup/syscall amortization counters — and each
+//! shard's share delay, gap and residency distributions.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use mcss_base::SimTime;
+use mcss_obs::MetricsSnapshot;
 use mcss_remicss::config::ProtocolConfig;
 use mcss_remicss::engine::Workload;
 use mcss_server::{IoBackend, IoMode, ServerConfig, UdpServer};
+
+const CHANNELS: usize = 5;
 
 fn run_smoke(io: IoMode, expect: IoBackend) {
     let protocol = Arc::new(ProtocolConfig::new(2.0, 3.0).unwrap().with_symbol_bytes(64));
     let mut config = ServerConfig::with_shards(2);
     config.io = io;
-    let mut server = UdpServer::new(config, protocol, 5).expect("loopback sockets bind");
+    let mut server = UdpServer::new(config, protocol, CHANNELS).expect("loopback sockets bind");
     assert_eq!(server.backend(), expect);
     const SESSIONS: u32 = 16;
     for cid in 0..SESSIONS {
@@ -95,6 +99,43 @@ fn run_smoke(io: IoMode, expect: IoBackend) {
         text.contains("server_total_datagrams_received"),
         "prometheus text missing server totals:\n{text}"
     );
+    if cfg!(feature = "telemetry") {
+        assert_shard_distributions(&server, &snapshot, &text);
+    }
+}
+
+/// Each shard exports the share distributions its sessions recorded,
+/// and each of its per-channel delay histograms holds exactly one
+/// sample per share its sessions received on that channel.
+fn assert_shard_distributions(server: &UdpServer, snapshot: &MetricsSnapshot, text: &str) {
+    let set = server.shards();
+    for i in 0..set.num_shards() {
+        for series in [
+            format!("server_shard{i}_delay_ch0"),
+            format!("server_shard{i}_inter_share_gap_ch0"),
+            format!("server_shard{i}_reassembly_residency"),
+        ] {
+            assert!(
+                text.contains(&format!("{series}_count")),
+                "prometheus text missing {series}:\n{text}"
+            );
+        }
+        let cids: Vec<u32> = set.shard(i).cids().collect();
+        for c in 0..CHANNELS {
+            let received: u64 = cids
+                .iter()
+                .map(|&cid| set.session_metrics(cid).channel(c).shares_received.get())
+                .sum();
+            // Channels no session used export no (empty) histogram.
+            let name = format!("server.shard{i}.delay.ch{c}");
+            let count = snapshot
+                .histograms
+                .iter()
+                .find(|h| h.name == name)
+                .map_or(0, |h| h.count);
+            assert_eq!(count, received, "{name}");
+        }
+    }
 }
 
 #[test]
